@@ -7,7 +7,7 @@
 //! system reconfiguration + measurement window — half of SPSA's per-
 //! iteration cost — but BO typically needs many more iterations, which is
 //! exactly the search-time gap Fig. 8 reports. Model fitting itself rides
-//! the incremental GP fast path (O(n²) per observation, batched posterior
+//! the incremental GP fast path (O(n²) per observation, candidate-lane
 //! scoring of the candidate pool), so the comparison measures the search
 //! strategies rather than the surrogate's refit cost.
 
@@ -29,8 +29,6 @@ pub struct BayesOpt {
     n_candidates: usize,
     /// EI exploration margin.
     xi: f64,
-    /// The proposal awaiting an observation (scaled space).
-    pending_scaled: Option<Vec<f64>>,
 }
 
 impl BayesOpt {
@@ -44,7 +42,6 @@ impl BayesOpt {
             n_initial: 5,
             n_candidates: 256,
             xi: 0.1,
-            pending_scaled: None,
         }
     }
 
@@ -61,10 +58,10 @@ impl BayesOpt {
         self
     }
 
-    /// Force the surrogate's update mode (incremental fast path vs
-    /// full-refit probe), overriding `NOSTOP_NO_GP_INCREMENTAL`. Must be
-    /// applied before any observations; used by differential tests and
-    /// the tuner arena's in-binary mode-equivalence gate.
+    /// Force the surrogate's update mode (incremental fast path vs the
+    /// full-refit oracle). Must be applied before any observations; used
+    /// by differential tests and the tuner arena's in-binary
+    /// mode-equivalence gate.
     pub fn with_gp_incremental(mut self, incremental: bool) -> Self {
         assert!(self.gp.is_empty(), "set the GP mode before observing");
         self.gp = self.gp.with_incremental(incremental);
@@ -82,25 +79,27 @@ impl BayesOpt {
             return self.random_scaled();
         }
         let best = self.gp.best_y().expect("observations exist");
-        // Draw the whole candidate pool up front, then score it with one
-        // batched posterior pass — a single forward-solve sweep over the
-        // factor instead of `n_candidates` independent triangular solves.
-        // The posteriors (and hence the argmax) are bitwise identical to
-        // the one-at-a-time loop this replaces.
-        let mut best_candidate = self.random_scaled();
-        let candidates: Vec<Vec<f64>> = (0..self.n_candidates)
-            .map(|_| self.random_scaled())
+        // One flat pool for this proposal: the fallback point first, then
+        // the candidates — the RNG draw order of drawing them one by one.
+        // The pool is scored in one candidate-lane pass; the first
+        // strictly greater EI wins.
+        let dim = self.space.dim();
+        let (lo, hi) = (self.space.scaled_lo, self.space.scaled_hi);
+        let pool: Vec<f64> = (0..(1 + self.n_candidates) * dim)
+            .map(|_| self.rng.uniform(lo, hi))
             .collect();
-        let posteriors = self.gp.posterior_batch(&candidates);
+        let (fallback, candidates) = pool.split_at(dim);
+        let posteriors = self.gp.posterior_batch(candidates, dim);
         let mut best_ei = f64::NEG_INFINITY;
-        for (c, (mean, var)) in candidates.into_iter().zip(posteriors) {
+        let mut best_candidate = fallback;
+        for (c, (mean, var)) in candidates.chunks_exact(dim).zip(posteriors) {
             let ei = expected_improvement(mean, var, best, self.xi);
             if ei > best_ei {
                 best_ei = ei;
                 best_candidate = c;
             }
         }
-        best_candidate
+        best_candidate.to_vec()
     }
 }
 
@@ -111,21 +110,16 @@ impl Tuner for BayesOpt {
 
     fn propose(&mut self) -> Vec<f64> {
         let scaled = self.propose_scaled();
-        let physical = self.space.to_physical(&scaled);
-        // Store the *quantized* point: the system runs the quantized
-        // configuration, so the model must be trained on it.
-        self.pending_scaled = Some(self.space.to_scaled(&physical));
-        physical
+        self.space.to_physical(&scaled)
     }
 
     fn observe(&mut self, physical: &[f64], objective: f64) {
         self.tracker.observe(physical, objective);
-        let scaled = self
-            .pending_scaled
-            .take()
-            .unwrap_or_else(|| self.space.to_scaled(physical));
+        // Train on the point that was measured — the quantized physical
+        // configuration, whether or not it was the last proposal — so the
+        // model and the best-tracker always agree.
         if objective.is_finite() {
-            self.gp.add(scaled, objective);
+            self.gp.add(&self.space.to_scaled(physical), objective);
         }
     }
 
@@ -211,6 +205,24 @@ mod tests {
         let p2 = bo.propose();
         bo.observe(&p2, 5.0);
         assert_eq!(bo.best().unwrap().1, 5.0);
+    }
+
+    #[test]
+    fn observing_another_point_trains_the_model_on_that_point() {
+        let space = ConfigSpace::paper_default();
+        let mut bo = BayesOpt::new(space.clone(), 5);
+        let proposed = bo.propose();
+        let measured = vec![3.0, 4.0];
+        assert_ne!(proposed, measured);
+        bo.observe(&measured, 6.5);
+        assert_eq!(bo.best(), Some((measured.clone(), 6.5)));
+        let mut reference = GaussianProcess::new(Kernel::default());
+        reference.add(&space.to_scaled(&measured), 6.5);
+        for probe in [space.to_scaled(&measured), space.to_scaled(&proposed)] {
+            let (m, v) = bo.gp.posterior(&probe);
+            let (rm, rv) = reference.posterior(&probe);
+            assert_eq!((m.to_bits(), v.to_bits()), (rm.to_bits(), rv.to_bits()));
+        }
     }
 
     #[test]

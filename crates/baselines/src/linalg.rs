@@ -5,14 +5,15 @@
 //! `Vec<f64>` with explicit dimension.
 //!
 //! Every inner product in this module — the Cholesky inner loops, the
-//! forward solves (single and multi-RHS), and the rank-1 factor extension —
-//! goes through the one unrolled [`dot`] kernel. That is a correctness
-//! property, not just a speed one: incremental factor extension
-//! ([`Matrix::extend_cholesky`]) is *bitwise* identical to refactoring the
-//! grown Gram matrix from scratch ([`Matrix::cholesky_into`]) because the
-//! new-row recurrence and the full factorization execute the same additions
-//! in the same order. The GP's `NOSTOP_NO_GP_INCREMENTAL` probe mode leans
-//! on this.
+//! forward solve, and the rank-1 factor extension — goes through the one
+//! unrolled [`dot`] kernel. That is a correctness property, not just a
+//! speed one: incremental factor extension ([`Matrix::extend_cholesky`]) is
+//! *bitwise* identical to refactoring the grown Gram matrix from scratch
+//! ([`Matrix::cholesky_into`]) because the new-row recurrence and the full
+//! factorization execute the same additions in the same order. The GP's
+//! full-refit test oracle leans on this, and its candidate-lane scorer
+//! (`gp::posterior_batch`) repeats `dot`'s order in every lane so that
+//! batched posteriors match [`solve_lower_in_place`] to the bit.
 
 /// A square matrix in row-major storage.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,25 +215,6 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Multi-right-hand-side forward substitution: `xs` holds `count`
-/// candidate-major rows of length `l.n`, each a `b` on entry and the
-/// solution of `L x = b` on exit. One sweep over the factor's rows serves
-/// every right-hand side, so `L` streams through cache once; per-candidate
-/// arithmetic is bitwise identical to [`solve_lower`].
-pub fn solve_lower_multi(l: &Matrix, xs: &mut [f64], count: usize) {
-    let n = l.n;
-    assert_eq!(xs.len(), count * n, "dimension mismatch");
-    for i in 0..n {
-        let row = &l.data[i * n..i * n + i];
-        let d = l.data[i * n + i];
-        for x in xs.chunks_exact_mut(n) {
-            let (head, tail) = x.split_at_mut(i);
-            let s = tail[0] - dot(row, head);
-            tail[0] = s / d;
-        }
-    }
-}
-
 /// Solve `Lᵀ x = b` in place (backward substitution): on entry `x` holds
 /// `b`, on exit the solution.
 pub fn solve_upper_transposed_in_place(l: &Matrix, x: &mut [f64]) {
@@ -414,21 +396,6 @@ mod tests {
         assert!(l.extend_cholesky(&[], 4.0));
         assert_eq!(l.n, 1);
         assert_eq!(l.get(0, 0), 2.0);
-    }
-
-    #[test]
-    fn multi_rhs_solve_matches_single_bitwise() {
-        let a = random_spd(19, 9);
-        let l = a.cholesky().unwrap();
-        let count = 7;
-        let mut xs: Vec<f64> = (0..count * 19).map(|i| (i as f64).sin()).collect();
-        let singles: Vec<Vec<f64>> = xs.chunks_exact(19).map(|b| solve_lower(&l, b)).collect();
-        solve_lower_multi(&l, &mut xs, count);
-        for (c, single) in singles.iter().enumerate() {
-            for (k, (&got, &want)) in xs[c * 19..(c + 1) * 19].iter().zip(single).enumerate() {
-                assert_eq!(got.to_bits(), want.to_bits(), "candidate {c} entry {k}");
-            }
-        }
     }
 
     #[test]

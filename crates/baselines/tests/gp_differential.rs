@@ -6,18 +6,18 @@
 //!    at a time with [`Matrix::extend_cholesky`] lands within 1e-9 of the
 //!    full factorization of the final matrix (and in fact bitwise: both
 //!    paths share the same unrolled dot kernel and recurrence order).
-//! 2. **Batched posterior** — [`GaussianProcess::posterior_batch`] is
-//!    bitwise identical to scoring each candidate through
-//!    [`GaussianProcess::posterior`] one at a time.
-//! 3. **Probe equivalence** — a GP fitted through the full-refit probe
-//!    path (`with_incremental(false)`, the `NOSTOP_NO_GP_INCREMENTAL=1`
-//!    surface) produces posteriors within 1e-9 of the incremental path on
-//!    arbitrary add-sequences — after *every* add, not just the last.
+//! 2. **Batched posterior** — [`GaussianProcess::posterior_batch`]'s
+//!    candidate-lane tiles are bitwise identical to scoring each candidate
+//!    through [`GaussianProcess::posterior`] one at a time, over the
+//!    shapes BayesOpt runs: up to 8 dimensions, up to 130 observations
+//!    (including n < 4 and n not a multiple of 4, which exercise `dot`'s
+//!    remainder path) and candidate counts that leave a partial tile.
+//! 3. **Oracle equivalence** — a GP fitted through the full-refit oracle
+//!    (`with_incremental(false)`) produces posteriors within 1e-9 of the
+//!    incremental path on arbitrary add-sequences — after *every* add, not
+//!    just the last.
 //!
-//! The suite is part of the CI `tuners` leg, which runs it both plain and
-//! under `NOSTOP_NO_GP_INCREMENTAL=1` (the env flips which path
-//! `GaussianProcess::new` picks; contract 3 pins the two paths against
-//! each other explicitly either way).
+//! The suite is part of the CI `tuners` leg.
 
 use nostop_baselines::gp::{GaussianProcess, Kernel};
 use nostop_baselines::linalg::Matrix;
@@ -38,11 +38,10 @@ fn random_spd(n: usize, seed: u64) -> Matrix {
     })
 }
 
-/// Random points in the scaled configuration cube `[1, 20]^dim`.
-fn random_points(count: usize, dim: usize, rng: &mut SimRng) -> Vec<Vec<f64>> {
-    (0..count)
-        .map(|_| (0..dim).map(|_| rng.uniform(1.0, 20.0)).collect())
-        .collect()
+/// `count` random points in the scaled configuration cube `[1, 20]^dim`,
+/// packed row-major.
+fn random_points(count: usize, dim: usize, rng: &mut SimRng) -> Vec<f64> {
+    (0..count * dim).map(|_| rng.uniform(1.0, 20.0)).collect()
 }
 
 proptest! {
@@ -78,21 +77,21 @@ proptest! {
 
     #[test]
     fn posterior_batch_matches_per_point_bitwise(
-        dim in 1usize..6,
-        n_obs in 1usize..24,
-        n_cand in 1usize..40,
+        dim in 1usize..=8,
+        n_obs in 1usize..=130,
+        n_cand in 0usize..=300,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = SimRng::seed_from_u64(seed ^ 0xBA7C4);
         let mut gp = GaussianProcess::new(Kernel::default());
-        for (i, x) in random_points(n_obs, dim, &mut rng).into_iter().enumerate() {
+        for (i, x) in random_points(n_obs, dim, &mut rng).chunks_exact(dim).enumerate() {
             let y = rng.uniform(-5.0, 5.0) + i as f64 * 0.1;
             gp.add(x, y);
         }
         let candidates = random_points(n_cand, dim, &mut rng);
-        let batch = gp.posterior_batch(&candidates);
-        prop_assert_eq!(batch.len(), candidates.len());
-        for (cand, (bm, bv)) in candidates.iter().zip(&batch) {
+        let batch = gp.posterior_batch(&candidates, dim);
+        prop_assert_eq!(batch.len(), n_cand);
+        for (cand, (bm, bv)) in candidates.chunks_exact(dim).zip(&batch) {
             let (m, v) = gp.posterior(cand);
             prop_assert_eq!(m.to_bits(), bm.to_bits(), "mean diverged");
             prop_assert_eq!(v.to_bits(), bv.to_bits(), "variance diverged");
@@ -109,11 +108,11 @@ proptest! {
         let mut fast = GaussianProcess::new(Kernel::default()).with_incremental(true);
         let mut probe = GaussianProcess::new(Kernel::default()).with_incremental(false);
         let probes = random_points(4, dim, &mut rng);
-        for x in random_points(n_adds, dim, &mut rng) {
+        for x in random_points(n_adds, dim, &mut rng).chunks_exact(dim) {
             let y = rng.uniform(-10.0, 10.0);
-            fast.add(x.clone(), y);
+            fast.add(x, y);
             probe.add(x, y);
-            for p in &probes {
+            for p in probes.chunks_exact(dim) {
                 let (fm, fv) = fast.posterior(p);
                 let (pm, pv) = probe.posterior(p);
                 prop_assert!(

@@ -139,17 +139,13 @@ fn bench_gp_fit_scaling(c: &mut Criterion) {
                     (x, y)
                 })
                 .collect();
-            b.iter_batched(
-                || points.clone(),
-                |pts| {
-                    let mut gp = GaussianProcess::new(Kernel::default());
-                    for (x, y) in pts {
-                        gp.add(x, y);
-                    }
-                    black_box(gp.posterior(&[10.0, 10.0]))
-                },
-                BatchSize::SmallInput,
-            );
+            b.iter(|| {
+                let mut gp = GaussianProcess::new(Kernel::default());
+                for (x, y) in &points {
+                    gp.add(x, *y);
+                }
+                black_box(gp.posterior(&[10.0, 10.0]))
+            });
         });
     }
     group.finish();

@@ -305,7 +305,7 @@ fn run_gp_cell() -> f64 {
     for _ in 0..GP_OBSERVATIONS {
         let x: Vec<f64> = (0..GP_DIM).map(|_| rng.uniform(1.0, 20.0)).collect();
         let y = rng.uniform(-10.0, 10.0);
-        gp.add(x, y);
+        gp.add(&x, y);
     }
     let (m, v) = gp.posterior(&[10.5; GP_DIM]);
     m + v

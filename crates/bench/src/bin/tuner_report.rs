@@ -12,18 +12,15 @@
 //!
 //! Everything printed to **stdout** is a pure function of the arena
 //! constants — trajectories, regrets, winners — so CI can diff the output
-//! byte-for-byte across `NOSTOP_JOBS` values *and* across the incremental
-//! GP fast path and its full-refit probe mode
-//! (`NOSTOP_NO_GP_INCREMENTAL=1`): the probe factorizes the same kernel
-//! matrix with the same summation order, so BayesOpt's proposals are
-//! bitwise identical either way. Wall-clock timings go to **stderr** and
-//! — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs — into the report
-//! **file only**.
+//! byte-for-byte across `NOSTOP_JOBS` values. Wall-clock timings go to
+//! **stderr** and — as `wall_ms`, best of `NOSTOP_PERF_REPEATS` runs —
+//! into the report **file only**.
 //!
 //! The binary is also its own acceptance test: before writing anything it
 //! drives two BayesOpt instances over the dim-8 space on a synthetic
 //! objective — one pinned to the incremental GP, one to the full-refit
-//! probe — and asserts every proposal is bitwise identical.
+//! oracle — and asserts every proposal is bitwise identical: the oracle
+//! factorizes the same kernel matrix with the same summation order.
 
 use nostop_baselines::{BayesOpt, GridSearch, RandomSearch, SpsaTuner, Tuner};
 use nostop_bench::driver::{make_system, paper_rate, run_tuner};
