@@ -52,9 +52,10 @@ impl BayesOpt {
         self
     }
 
-    /// Override the GP kernel.
+    /// Override the GP kernel, keeping the surrogate's update mode.
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.gp = GaussianProcess::new(kernel);
+        let incremental = self.gp.is_incremental();
+        self.gp = GaussianProcess::new(kernel).with_incremental(incremental);
         self
     }
 
@@ -222,6 +223,20 @@ mod tests {
             let (m, v) = bo.gp.posterior(&probe);
             let (rm, rv) = reference.posterior(&probe);
             assert_eq!((m.to_bits(), v.to_bits()), (rm.to_bits(), rv.to_bits()));
+        }
+    }
+
+    #[test]
+    fn with_kernel_keeps_the_gp_mode() {
+        let kernel = Kernel {
+            length_scale: 2.0,
+            ..Kernel::default()
+        };
+        for incremental in [false, true] {
+            let bo = BayesOpt::new(ConfigSpace::paper_default(), 1)
+                .with_gp_incremental(incremental)
+                .with_kernel(kernel);
+            assert_eq!(bo.gp.is_incremental(), incremental);
         }
     }
 

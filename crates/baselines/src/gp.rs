@@ -273,6 +273,7 @@ impl GaussianProcess {
             return (self.y_mean, self.kernel.signal_variance);
         }
         assert_eq!(x.len(), self.dim, "dimension mismatch");
+        assert!(x.iter().all(|v| v.is_finite()), "candidate must be finite");
         let k_star: Vec<f64> = self
             .x
             .chunks_exact(self.dim)
@@ -281,7 +282,9 @@ impl GaussianProcess {
         let mean = self.y_mean + dot(&k_star, &self.alpha);
         let mut v = k_star;
         solve_lower_in_place(&self.chol, &mut v);
-        let var = (self.kernel.eval(x, x) - dot(&v, &v)).max(1e-12);
+        // The prior variance `k(x, x) = σ_f² · exp(-0.0)` is exactly σ_f²
+        // for a finite `x`.
+        let var = (self.kernel.signal_variance - dot(&v, &v)).max(1e-12);
         (mean, var)
     }
 
@@ -301,6 +304,10 @@ impl GaussianProcess {
             return vec![(self.y_mean, self.kernel.signal_variance); count];
         }
         assert_eq!(dim, self.dim, "dimension mismatch");
+        assert!(
+            xs.iter().all(|v| v.is_finite()),
+            "candidates must be finite"
+        );
         let n = self.len();
         let mut out = Vec::with_capacity(count);
         // The tile's coordinates transposed to one lane row per dimension,
@@ -342,9 +349,9 @@ impl GaussianProcess {
                 }
             }
             let vv = lane_dot(panel, panel, |v| v);
-            for (l, c) in tile.chunks_exact(dim).enumerate() {
-                let var = (self.kernel.eval(c, c) - vv[l]).max(1e-12);
-                out.push((self.y_mean + means[l], var));
+            for (mean, vv) in means.iter().zip(vv).take(lanes) {
+                let var = (self.kernel.signal_variance - vv).max(1e-12);
+                out.push((self.y_mean + mean, var));
             }
         }
         out
@@ -491,6 +498,20 @@ mod tests {
     fn posterior_batch_rejects_wrong_dimension() {
         let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
         gp.posterior_batch(&[1.0, 2.0, 3.0], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate must be finite")]
+    fn posterior_rejects_non_finite_candidate() {
+        let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
+        gp.posterior(&[1.0, f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidates must be finite")]
+    fn posterior_batch_rejects_non_finite_candidate() {
+        let gp = gp_with(&[(&[1.0, 2.0], 3.0)]);
+        gp.posterior_batch(&[1.0, 2.0, f64::INFINITY, 0.0], 2);
     }
 
     #[test]

@@ -434,29 +434,70 @@ mod tests {
 
     #[test]
     fn next_change_at_is_sound_for_combinators() {
-        let mut r = FlashCrowdRate::new(
-            Box::new(ConstantRate::new(10.0)),
-            50.0,
-            10.0,
-            1.5,
-            2.0,
-            6.0,
-            SimRng::seed_from_u64(21),
+        use crate::rate::tests::assert_skipped_samples_are_invisible;
+        use crate::rate::UniformRandomRate;
+        let uniform = |seed| {
+            Box::new(UniformRandomRate::new(
+                100.0,
+                900.0,
+                9.0,
+                SimRng::seed_from_u64(seed),
+            ))
+        };
+        assert_skipped_samples_are_invisible(
+            || {
+                Box::new(FlashCrowdRate::new(
+                    uniform(1),
+                    50.0,
+                    10.0,
+                    1.5,
+                    2.0,
+                    6.0,
+                    SimRng::seed_from_u64(21),
+                ))
+            },
+            1_200.0,
         );
-        let mut clock = 0.25f64;
-        for _ in 0..60 {
-            let base = r.rate_at(t(clock));
-            let until = r.next_change_at(t(clock));
-            if until > t(clock) && until < SimTime::MAX {
-                let mut probe = t(clock);
-                let step = SimDuration::from_millis(250);
-                while probe + step < until {
-                    probe += step;
-                    assert_eq!(r.rate_at(probe), base, "changed before promised instant");
-                }
-                clock = clock.max(probe.as_secs_f64());
-            }
-            clock += 1.3;
-        }
+        assert_skipped_samples_are_invisible(
+            || {
+                Box::new(ParetoBurstRate::new(
+                    Box::new(FlashCrowdRate::new(
+                        uniform(2),
+                        80.0,
+                        15.0,
+                        1.2,
+                        1.5,
+                        4.0,
+                        SimRng::seed_from_u64(22),
+                    )),
+                    40.0,
+                    7.5,
+                    1.3,
+                    1_000.0,
+                    80_000.0,
+                    SimRng::seed_from_u64(23),
+                ))
+            },
+            1_200.0,
+        );
+        assert_skipped_samples_are_invisible(
+            || Box::new(CorrelatedSurgeRate::new(uniform(3), 777, 2.5, 15.0, 70.0)),
+            1_200.0,
+        );
+
+        assert_skipped_samples_are_invisible(
+            || {
+                Box::new(FlashCrowdRate::new(
+                    Box::new(ConstantRate::new(10.0)),
+                    50.0,
+                    10.0,
+                    1.5,
+                    2.0,
+                    6.0,
+                    SimRng::seed_from_u64(21),
+                ))
+            },
+            1_200.0,
+        );
     }
 }

@@ -13,6 +13,8 @@
 //! [`crate::records::RecordGenerator`] on demand. This keeps simulating a
 //! 230k-records/second stream (the paper's Page Analyze rate) allocation-free.
 
+use nostop_simcore::floor_exact;
+
 /// Identifies a partition within the broker.
 pub type PartitionId = usize;
 
@@ -39,12 +41,10 @@ impl Default for BrokerConfig {
 /// Per-partition offset state.
 ///
 /// Production is uniform by construction — every partition receives the
-/// *identical* fractional share with the identical carry evolution — so
-/// the produced offset and its carry live once on [`Broker`] instead of
-/// per partition, making `produce` O(1). This matters: the generator
-/// integrates rates in 100 ms steps, so a single batch cut calls
-/// `produce` dozens of times. Only the consumed offset diverges across
-/// partitions (the consume side distributes remainders).
+/// *identical* share with the identical remainder evolution — so the
+/// produced offset and its remainder live once on [`Broker`] instead of
+/// per partition, making `produce` O(1). Only the consumed offset
+/// diverges across partitions (the consume side distributes remainders).
 #[derive(Debug, Clone, Default)]
 struct Partition {
     consumed: u64,
@@ -74,9 +74,10 @@ pub struct Broker {
     /// Produced offset, identical for every partition (uniform production).
     /// Unused (stays zero) when `skew` is set.
     produced_per_partition: u64,
-    /// Fractional record carry of the uniform production share, identical
-    /// for every partition. Unused when `skew` is set.
-    produce_carry: f64,
+    /// Records produced but not yet credited to the partitions (always
+    /// `< partitions`): uniform production credits whole rounds of one
+    /// record per partition. Unused when `skew` is set.
+    produce_pending: u64,
     /// Weighted per-partition production, when the skew-free assumption is
     /// deliberately broken.
     skew: Option<SkewState>,
@@ -95,7 +96,7 @@ impl Broker {
         Broker {
             partitions: vec![Partition::default(); config.partitions],
             produced_per_partition: 0,
-            produce_carry: 0.0,
+            produce_pending: 0,
             skew: None,
             max_consume_rate: config.max_consume_rate,
             rate_carry: 0.0,
@@ -155,9 +156,12 @@ impl Broker {
 
     /// Produce `count` records. Uniform production (the paper's
     /// skew-avoidance rule) spreads them identically across partitions in
-    /// O(1); a skewed broker gives each partition its weighted share with
-    /// a per-partition fractional carry, conserving the long-run total
-    /// exactly.
+    /// O(1), keeping back an integer remainder of fewer than `partitions`
+    /// records; it is additive — `produce(a); produce(b)` equals
+    /// `produce(a + b)` — and conserves records exactly. A skewed broker
+    /// gives each partition its weighted share with a per-partition
+    /// fractional carry, conserving the long-run total exactly; its
+    /// carries make it sensitive to how production is split into calls.
     pub fn produce(&mut self, count: u64) {
         if count == 0 {
             return;
@@ -165,18 +169,16 @@ impl Broker {
         if let Some(skew) = &mut self.skew {
             for i in 0..skew.weights.len() {
                 let want = count as f64 * skew.weights[i] + skew.carry[i];
-                let whole = want.floor();
+                let whole = floor_exact(want);
                 skew.carry[i] = want - whole;
                 skew.produced[i] += whole as u64;
             }
             return;
         }
-        let n = self.partitions.len() as f64;
-        let share = count as f64 / n;
-        let want = share + self.produce_carry;
-        let whole = want.floor();
-        self.produce_carry = want - whole;
-        self.produced_per_partition += whole as u64;
+        let n = self.partitions.len() as u64;
+        self.produce_pending += count;
+        self.produced_per_partition += self.produce_pending / n;
+        self.produce_pending %= n;
     }
 
     /// Total records ever produced.
@@ -256,10 +258,11 @@ impl Broker {
         self.produced_per_partition
     }
 
-    /// Bit pattern of the fractional production carry — a bitwise
+    /// Records produced but not yet credited to the partitions — the
+    /// uniform production state beyond the shared offset, an exact
     /// stationarity probe for closed-form fast paths.
-    pub fn produce_carry_bits(&self) -> u64 {
-        self.produce_carry.to_bits()
+    pub fn produce_remainder(&self) -> u64 {
+        self.produce_pending
     }
 
     /// Advance every partition by `per_partition` produced-and-consumed
@@ -328,7 +331,7 @@ mod tests {
             b.produce(13);
         }
         let total = b.total_produced();
-        // Fractional carries mean at most `partitions` records still in carry.
+        // The integer remainder holds back fewer than `partitions` records.
         assert!((13_000 - 7..=13_000).contains(&total), "total {total}");
     }
 

@@ -42,6 +42,12 @@ pub trait RateProcess: Send {
     /// to prove a horizon is event-free; returning `after` itself makes no
     /// guarantee at all, which is the safe default for processes that vary
     /// continuously (sinusoids, ramps mid-flight).
+    ///
+    /// The promise also covers the process's lazy state: skipping any
+    /// `rate_at` calls at instants inside the promised window leaves every
+    /// later value unchanged. Processes meet this by advancing their
+    /// state (redraws, onsets) only at change points; the generator
+    /// relies on it to sample once per constant segment.
     fn next_change_at(&self, after: SimTime) -> SimTime {
         after
     }
@@ -581,7 +587,7 @@ pub fn tenant_seed(master: u64, tenant: u32) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nostop_simcore::SimDuration;
 
@@ -815,26 +821,69 @@ mod tests {
         assert_eq!(sc.next_change_at(t(1.0)), SimTime::MAX);
     }
 
+    /// Two copies of `mk()`'s process over `horizon_secs`: one sampled
+    /// every 100 ms, one only at the change points it promises. Skipping
+    /// the samples in between must be invisible — both agree at every
+    /// change point and at the end.
+    pub(crate) fn assert_skipped_samples_are_invisible(
+        mk: impl Fn() -> Box<dyn RateProcess>,
+        horizon_secs: f64,
+    ) {
+        let (mut dense, mut sparse) = (mk(), mk());
+        let step = SimDuration::from_millis(100);
+        let horizon = t(horizon_secs);
+        let mut at = SimTime::ZERO;
+        let mut change_points = 0;
+        while at < horizon {
+            let rate = sparse.rate_at(at);
+            assert_eq!(dense.rate_at(at).to_bits(), rate.to_bits(), "at {at}");
+            let until = sparse.next_change_at(at);
+            let next = if until > at {
+                change_points += 1;
+                until.min(horizon)
+            } else {
+                at + step
+            };
+            let mut probe = at + step;
+            while probe < next {
+                assert_eq!(dense.rate_at(probe), rate, "changed before {until}");
+                probe += step;
+            }
+            at = next;
+        }
+        assert_eq!(dense.rate_at(horizon), sparse.rate_at(horizon), "at end");
+        assert!(change_points > 0, "the process promised nothing");
+    }
+
     /// The `(after, next_change_at)` guarantee holds empirically: replaying
-    /// the process inside the promised window never changes the rate.
+    /// the process inside the promised window never changes the rate, and
+    /// skipping those samples changes nothing later.
     #[test]
     fn next_change_at_guarantee_is_sound() {
-        let mut r = UniformRandomRate::new(0.0, 1000.0, 7.0, SimRng::seed_from_u64(11));
-        let mut clock = 0.25f64;
-        for _ in 0..50 {
-            let base = r.rate_at(t(clock));
-            let until = r.next_change_at(t(clock));
-            if until > t(clock) && until < SimTime::MAX {
-                let mut probe = t(clock);
-                let step = nostop_simcore::SimDuration::from_millis(500);
-                while probe + step < until {
-                    probe += step;
-                    assert_eq!(r.rate_at(probe), base, "changed before promised instant");
-                }
-                clock = clock.max(probe.as_secs_f64());
-            }
-            clock += 1.1;
-        }
+        let uniform = || UniformRandomRate::new(0.0, 1000.0, 7.0, SimRng::seed_from_u64(11));
+        assert_skipped_samples_are_invisible(|| Box::new(uniform()), 600.0);
+        assert_skipped_samples_are_invisible(
+            || {
+                Box::new(SurgeRate::new(
+                    Box::new(uniform()),
+                    4.0,
+                    12.5,
+                    40.0,
+                    SimRng::seed_from_u64(12),
+                ))
+            },
+            900.0,
+        );
+        assert_skipped_samples_are_invisible(
+            || {
+                Box::new(ScaledRate::new(
+                    Box::new(TraceRate::new(vec![(0.0, 5.0), (3.33, 9.0), (70.05, 2.0)])),
+                    1.5,
+                ))
+            },
+            120.0,
+        );
+        assert_skipped_samples_are_invisible(|| Box::new(RampRate::new(10.0, 90.0, 33.3)), 90.0);
     }
 
     #[test]

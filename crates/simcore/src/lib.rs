@@ -35,3 +35,54 @@ pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::{RollingStats, Summary, Welford};
 pub use time::{SimDuration, SimTime};
+
+/// `x.floor()`, bit for bit, without the libm call `f64::floor` compiles
+/// to on baseline x86-64: for `0 < x < 2^52` truncation toward zero is the
+/// floor and both conversions are exact; every other input (zero, signed
+/// zeros, negatives, huge values, NaN, ±∞) takes `f64::floor` itself.
+#[inline]
+pub fn floor_exact(x: f64) -> f64 {
+    if x > 0.0 && x < 4_503_599_627_370_496.0 {
+        (x as i64) as f64
+    } else {
+        x.floor()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn floor_exact_matches_floor_bitwise() {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.5,
+            -1.5,
+            two52 - 0.5,
+            two52 - 1.0,
+            two52,
+            two52 + 1.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = SimRng::seed_from_u64(3);
+        let bits: Vec<f64> = (0..50_000)
+            .map(|_| f64::from_bits(rng.next_u64()))
+            .collect();
+        let magnitudes: Vec<f64> = (0..50_000).map(|_| rng.uniform(0.0, 1e7)).collect();
+        for x in edges.into_iter().chain(bits).chain(magnitudes) {
+            assert_eq!(floor_exact(x).to_bits(), x.floor().to_bits(), "x = {x:e}");
+        }
+    }
+}

@@ -156,8 +156,9 @@ pub struct QuiescenceShape {
     pub gen_carry_bits: u64,
     /// Generator last sampled rate, as bits.
     pub gen_rate_bits: u64,
-    /// Broker production carry, as bits.
-    pub broker_carry_bits: u64,
+    /// Broker production remainder (records not yet credited to the
+    /// partitions).
+    pub broker_remainder: u64,
     /// The superbatch signature of the previous batch.
     pub superbatch_sig: BatchSignature,
     /// All three RNG stream positions — unchanged across an epoch means
@@ -549,7 +550,7 @@ impl StreamingEngine {
                 pressure_bits: self.noise.external_pressure().to_bits(),
                 gen_carry_bits: self.generator.carry_bits(),
                 gen_rate_bits: self.generator.last_rate_bits(),
-                broker_carry_bits: self.broker.produce_carry_bits(),
+                broker_remainder: self.broker.produce_remainder(),
                 superbatch_sig: sig,
                 rng: self.rng_fingerprint(),
             },

@@ -18,6 +18,7 @@
 //! the rebuild is a handful of flops either way).
 
 use crate::cost::CostModel;
+use nostop_simcore::floor_exact;
 
 /// RNG-independent per-task costs of one stage, for both record-count
 /// buckets: index 0 = `base` records, index 1 = `base + 1` (the first
@@ -140,7 +141,7 @@ pub fn speed_quotas(speeds: &[f64], tasks: u32, quotas: &mut [u64], fracs: &mut 
     let mut assigned: u64 = 0;
     for (e, &speed) in speeds.iter().enumerate() {
         let raw = tasks as f64 * speed.max(1e-12) / total;
-        let q = raw.floor();
+        let q = floor_exact(raw);
         quotas[e] = q as u64;
         fracs[e] = raw - q;
         assigned += q as u64;
